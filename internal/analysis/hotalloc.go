@@ -39,6 +39,13 @@ func HotRoots() []RootSpec {
 		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Search*"},
 		{Path: mod + "/internal/buffer", Recv: "Pool", Name: "Get"},
 		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "Get"},
+		{Path: mod + "/internal/buffer", Recv: "Pool", Name: "View"},
+		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "View"},
+		// The paged query paths read frames in place through View; a
+		// query may allocate its results, its traversal stack and its kNN
+		// frontier (pooled, so they stop growing once warm), nothing else.
+		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Search*"},
+		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Nearest"},
 		{Path: mod + "/internal/core", Recv: "*", Name: "AccessProb"},
 		{Path: mod + "/internal/core", Name: "AccessProbs"},
 		{Path: mod + "/internal/core", Recv: "Predictor", Name: "DiskAccessesSweep"},

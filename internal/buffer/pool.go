@@ -174,6 +174,17 @@ func (p *Pool) GetTracked(page int) ([]byte, AccessInfo, error) {
 	return frame, info, nil
 }
 
+// View runs fn on page's frame in place, faulting the page in on a
+// miss, and reports the access's attribution as GetTracked does. fn must
+// not modify or retain the slice; fn's error is returned as is.
+func (p *Pool) View(page int, fn func([]byte) error) (AccessInfo, error) {
+	frame, info, err := p.GetTracked(page)
+	if err != nil {
+		return info, err
+	}
+	return info, fn(frame)
+}
+
 func (p *Pool) takeFrame() []byte {
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]

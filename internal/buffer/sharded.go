@@ -13,11 +13,25 @@ import (
 // ShardedPool (concurrent) both satisfy it, so a paged tree can swap
 // pools without caring which.
 //
-// Get's ownership contract is the weaker of the two implementations':
-// the returned slice must not be modified, and is only guaranteed valid
-// until the next pool operation (Pool returns an alias that lives until
-// eviction; ShardedPool returns a copy the caller owns).
+// Page bytes reach callers under one of two ownership contracts:
+//
+//   - View(page, fn) lends the bytes to fn for the duration of the call
+//     and copies nothing: on a hit fn reads the resident frame (under
+//     ShardedPool's shard mutex, so the frame cannot be evicted or
+//     rewritten meanwhile); on a miss it reads the fault's staging
+//     buffer after the page is installed. fn must not modify or retain
+//     the slice, and must not call back into the pool. This is the query
+//     paths' contract.
+//   - Get returns bytes the caller may keep reading until its next pool
+//     operation (Pool returns an alias that lives until eviction;
+//     ShardedPool returns a copy the caller owns). The slice must not be
+//     modified. Callers that need the bytes after that copy them.
 type PagePool interface {
+	// View runs fn on the page bytes in place and reports the access's
+	// attribution (hit/miss and dirty write-backs). It returns the pool's
+	// error when the page could not be served (fn is then not called),
+	// else fn's error.
+	View(page int, fn func([]byte) error) (AccessInfo, error)
 	Get(page int) ([]byte, error)
 	// GetTracked is Get plus per-access attribution (hit/miss and dirty
 	// write-backs) for the flight recorder; Get discards the same info.
@@ -49,8 +63,9 @@ var (
 // locked shards: page p lives in shard p mod n as local page p div n,
 // with the capacity split round-robin. Hits on pages in different
 // shards never contend — each shard is a private Pool (any PoolPolicy)
-// under its own mutex, so the hit path is one uncontended lock, one
-// policy update, and one page copy.
+// under its own mutex, so the hit path is one uncontended lock and one
+// policy update, plus one page copy for Get (View reads the frame in
+// place under the lock).
 //
 // No lock is ever held across source or sink I/O:
 //
@@ -158,7 +173,8 @@ func NewShardedPoolWith(src PageSource, capacity, numPages, shards int, factory 
 	s.numPages.Store(int64(numPages))
 	s.bufs.New = func() any {
 		//lint:allow hotalloc staging buffers are pooled; New runs once per steady-state buffer
-		return make([]byte, s.pageSize)
+		b := make([]byte, s.pageSize)
+		return &b
 	}
 	for i := 0; i < shards; i++ {
 		s.shards[i] = &poolShard{
@@ -176,8 +192,11 @@ func (s *ShardedPool) locate(page int) (*poolShard, int) {
 	return s.shards[page%s.n], page / s.n
 }
 
-func (s *ShardedPool) getBuf() []byte  { return s.bufs.Get().([]byte) }
-func (s *ShardedPool) putBuf(b []byte) { s.bufs.Put(b) } //lint:allow hotalloc sync.Pool boxing; cheaper than the page copy it recycles
+// getBuf takes a page-size staging buffer from the pool and putBuf
+// returns it. The pool holds *[]byte, so neither direction boxes a slice
+// header onto the heap.
+func (s *ShardedPool) getBuf() *[]byte  { return s.bufs.Get().(*[]byte) }
+func (s *ShardedPool) putBuf(b *[]byte) { s.bufs.Put(b) }
 
 // boundsErr reports a page outside the pool's page space.
 func (s *ShardedPool) boundsErr(page int) error {
@@ -222,16 +241,58 @@ func (s *ShardedPool) GetTracked(page int) ([]byte, AccessInfo, error) {
 	if ok || err != nil {
 		return out, AccessInfo{Hit: ok}, s.globalize(err, page)
 	}
-	return s.fault(sh, page, local, ver)
+	buf, info, err := s.fault(sh, page, local, ver)
+	if err != nil {
+		return nil, info, err
+	}
+	out = make([]byte, len(*buf)) //lint:allow hotalloc the returned page copy is Get's ownership contract
+	copy(out, *buf)
+	s.putBuf(buf)
+	return out, info, nil
 }
 
-// fault reads page from the source with no lock held and installs it,
-// returning a copy the caller owns. ver is the page's dirty version at
-// miss time; install refuses to refresh a frame a concurrent Put moved
-// past it.
-func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32) ([]byte, AccessInfo, error) {
+// View runs fn on the page bytes without copying them: on a hit, on the
+// resident frame under the shard mutex (so no eviction or Put can touch
+// it meanwhile); on a miss, on the fault's staging buffer once the page
+// is installed. fn must not modify or retain the slice, nor call back
+// into the pool — the shard mutex is not reentrant.
+func (s *ShardedPool) View(page int, fn func([]byte) error) (AccessInfo, error) {
+	if page < 0 || int64(page) >= s.numPages.Load() {
+		return AccessInfo{}, s.boundsErr(page)
+	}
+	sh, local := s.locate(page)
+	sh.mu.Lock()
+	frame, ok, err := sh.pool.TryGet(local)
+	var ver uint32
+	if ok {
+		err = fn(frame)
+	} else if err == nil {
+		ver = sh.pool.faultVersion(local)
+	}
+	sh.mu.Unlock()
+	if ok {
+		return AccessInfo{Hit: true}, err
+	}
+	if err != nil {
+		return AccessInfo{}, s.globalize(err, page)
+	}
+	buf, info, err := s.fault(sh, page, local, ver)
+	if err != nil {
+		return info, err
+	}
+	err = fn(*buf)
+	s.putBuf(buf)
+	return info, err
+}
+
+// fault reads page from the source with no lock held and installs it.
+// On success it returns the staging buffer holding the page, which the
+// caller reads and then hands back with putBuf. ver is the page's dirty
+// version at miss time; install refuses to refresh a frame a concurrent
+// Put moved past it.
+func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32) (*[]byte, AccessInfo, error) {
 	buf := s.getBuf()
-	err := sh.pool.readPage(local, buf)
+	err := sh.pool.readPage(local, *buf)
 	if err != nil {
 		s.putBuf(buf)
 		sh.mu.Lock()
@@ -239,15 +300,13 @@ func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32) ([]byte,
 		sh.mu.Unlock()
 		return nil, AccessInfo{}, s.globalize(err, page)
 	}
-	out := make([]byte, len(buf)) //lint:allow hotalloc the returned page copy is Get's ownership contract
-	copy(out, buf)
 	//lint:allow hotalloc miss-path closure: a fault already pays a source page read, and the hit path allocates nothing
-	wrote, err := s.installCleanTracked(sh, func() { sh.pool.install(local, buf, ver) })
-	s.putBuf(buf)
+	wrote, err := s.installCleanTracked(sh, func() { sh.pool.install(local, *buf, ver) })
 	if err != nil {
+		s.putBuf(buf)
 		return nil, AccessInfo{WriteBacks: wrote}, s.globalize(err, page)
 	}
-	return out, AccessInfo{WriteBacks: wrote}, nil
+	return buf, AccessInfo{WriteBacks: wrote}, nil
 }
 
 // installClean runs install (under the shard mutex) in a state where no
@@ -268,8 +327,6 @@ func (s *ShardedPool) installClean(sh *poolShard, install func()) error {
 // installCleanTracked is installClean plus how many dirty victims were
 // successfully written back before the install committed.
 func (s *ShardedPool) installCleanTracked(sh *poolShard, install func()) (wrote int, err error) {
-	buf := s.getBuf()
-	defer s.putBuf(buf)
 	for {
 		sh.mu.Lock()
 		if !sh.pool.hasDirtyVictim() {
@@ -278,32 +335,40 @@ func (s *ShardedPool) installCleanTracked(sh *poolShard, install func()) (wrote 
 			return wrote, nil
 		}
 		sh.mu.Unlock()
-		// A dirty victim must be written back first. wbMu serializes the
-		// copy, the sink write, and the commit against every other
-		// write-back of this shard (FlushDirty, other faults), so
-		// same-page sink writes always land in dirty-version order; the
-		// victim is re-probed under it because a concurrent write-back
-		// may have cleaned it meanwhile.
-		sh.wbMu.Lock()
-		sh.mu.Lock()
-		v, ver := sh.pool.dirtyVictimVer(buf)
-		if v < 0 {
-			sh.mu.Unlock()
-			sh.wbMu.Unlock()
-			continue
+		ok, err := s.writeBackVictim(sh)
+		if err != nil {
+			return wrote, err
 		}
-		snk := sh.pool.sinkSnapshot()
-		sh.mu.Unlock()
-		werr := sinkWriteTo(snk, v, buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
-		sh.mu.Lock()
-		werr = sh.pool.wroteBackVer(v, ver, werr)
-		sh.mu.Unlock()
-		sh.wbMu.Unlock()
-		if werr != nil {
-			return wrote, werr
+		if ok {
+			wrote++
 		}
-		wrote++
 	}
+}
+
+// writeBackVictim writes the shard's dirty eviction victim back and
+// reports whether it found one. wbMu serializes the copy, the sink
+// write, and the commit against every other write-back of this shard
+// (FlushDirty, other faults), so same-page sink writes always land in
+// dirty-version order; the victim is re-probed under it because a
+// concurrent write-back may have cleaned it meanwhile.
+func (s *ShardedPool) writeBackVictim(sh *poolShard) (bool, error) {
+	buf := s.getBuf()
+	defer s.putBuf(buf)
+	sh.wbMu.Lock()
+	defer sh.wbMu.Unlock()
+	sh.mu.Lock()
+	v, ver := sh.pool.dirtyVictimVer(*buf)
+	if v < 0 {
+		sh.mu.Unlock()
+		return false, nil
+	}
+	snk := sh.pool.sinkSnapshot()
+	sh.mu.Unlock()
+	err := sinkWriteTo(snk, v, *buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
+	sh.mu.Lock()
+	err = sh.pool.wroteBackVer(v, ver, err)
+	sh.mu.Unlock()
+	return err == nil, err
 }
 
 // Pin makes page permanently resident (reading it if absent). Until the
@@ -326,7 +391,7 @@ func (s *ShardedPool) Pin(page int) error {
 		return s.globalize(perr, page)
 	}
 	buf := s.getBuf()
-	err := sh.pool.readPage(local, buf)
+	err := sh.pool.readPage(local, *buf)
 	if err != nil {
 		s.putBuf(buf)
 		sh.mu.Lock()
@@ -335,7 +400,7 @@ func (s *ShardedPool) Pin(page int) error {
 		return s.globalize(err, page)
 	}
 	sh.mu.Lock()
-	sh.pool.installPinned(local, buf, ver)
+	sh.pool.installPinned(local, *buf, ver)
 	sh.mu.Unlock()
 	s.putBuf(buf)
 	return nil
@@ -413,14 +478,14 @@ func (s *ShardedPool) FlushDirty() error {
 		sh, local := s.locate(page)
 		sh.wbMu.Lock()
 		sh.mu.Lock()
-		ver, ok := sh.pool.copyDirtyVer(local, buf)
+		ver, ok := sh.pool.copyDirtyVer(local, *buf)
 		snk := sh.pool.sinkSnapshot()
 		sh.mu.Unlock()
 		if !ok {
 			sh.wbMu.Unlock()
 			continue // cleaned by an eviction write-back meanwhile
 		}
-		err := sinkWriteTo(snk, local, buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
+		err := sinkWriteTo(snk, local, *buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
 		sh.mu.Lock()
 		err = sh.pool.wroteBackVer(local, ver, err)
 		sh.mu.Unlock()

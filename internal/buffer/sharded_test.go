@@ -480,7 +480,10 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 // TestShardedPoolNotSlower is the CI speedup guard: on the same
 // single-threaded workload, ShardedPool with one shard must not be
 // meaningfully slower than the legacy SyncPool (generous tolerance, best
-// of several trials, to absorb scheduler noise).
+// of several trials, to absorb scheduler noise). The two pools' trials
+// alternate, and which goes first alternates too, so a change in the
+// host's speed during the test slows both sides alike instead of
+// whichever pool happened to run while the host was slow.
 func TestShardedPoolNotSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -497,23 +500,29 @@ func TestShardedPoolNotSlower(t *testing.T) {
 		}
 	}
 	timeOne := func(mk func() oraclePool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 5; trial++ {
-			p := mk()
-			start := time.Now()
-			workload(p)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
+		p := mk()
+		start := time.Now()
+		workload(p)
+		return time.Since(start)
 	}
-	legacy := timeOne(func() oraclePool {
+	mkLegacy := func() oraclePool {
 		return NewSyncPool(&concSource{pageSize: pageSize, numPages: numPages}, capacity, numPages)
-	})
-	sharded := timeOne(func() oraclePool {
+	}
+	mkSharded := func() oraclePool {
 		return NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, capacity, numPages, 1)
-	})
+	}
+	legacy, sharded := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for trial := 0; trial < 5; trial++ {
+		var l, s time.Duration
+		if trial%2 == 0 {
+			l = timeOne(mkLegacy)
+			s = timeOne(mkSharded)
+		} else {
+			s = timeOne(mkSharded)
+			l = timeOne(mkLegacy)
+		}
+		legacy, sharded = min(legacy, l), min(sharded, s)
+	}
 	t.Logf("legacy=%v sharded=%v ratio=%.2f", legacy, sharded, float64(sharded)/float64(legacy))
 	if float64(sharded) > float64(legacy)*1.35 {
 		t.Errorf("sharded pool (1 shard) %v vs legacy %v: more than 35%% slower", sharded, legacy)

@@ -96,7 +96,7 @@ func (fr *FlightRecorder) Begin(name string) *ActiveQuery {
 	fr.nextID++
 	id := fr.nextID
 	fr.mu.Unlock()
-	return &ActiveQuery{fr: fr, rec: QueryRecord{ID: id, Name: name, Start: fr.clock()}}
+	return &ActiveQuery{fr: fr, rec: QueryRecord{ID: id, Name: name, Start: fr.clock()}} //lint:allow hotalloc enabled recorder only: the record is its output; a nil recorder returned above
 }
 
 // Access attributes one node access at the given tree level (level 0 is
@@ -112,7 +112,7 @@ func (q *ActiveQuery) Access(level int, hit bool, writeBacks int) {
 	}
 	q.rec.WriteBacks += writeBacks
 	for len(q.rec.Levels) <= level {
-		q.rec.Levels = append(q.rec.Levels, LevelStat{Level: len(q.rec.Levels)})
+		q.rec.Levels = append(q.rec.Levels, LevelStat{Level: len(q.rec.Levels)}) //lint:allow hotalloc enabled recorder only: the record's per-level rows, one per tree level
 	}
 	ls := &q.rec.Levels[level]
 	ls.Accesses++
@@ -161,7 +161,7 @@ func (fr *FlightRecorder) commit(r QueryRecord) {
 	defer fr.mu.Unlock()
 	fr.total++
 	if !fr.full && len(fr.recent) < cap(fr.recent) {
-		fr.recent = append(fr.recent, r)
+		fr.recent = append(fr.recent, r) //lint:allow hotalloc enabled recorder only: fills the ring's preallocated capacity, never grows it
 	} else {
 		fr.full = true
 		fr.dropped++
@@ -169,9 +169,9 @@ func (fr *FlightRecorder) commit(r QueryRecord) {
 		fr.start = (fr.start + 1) % len(fr.recent)
 	}
 	// Maintain the expensive-query board: insert in cost order, trim to cap.
-	i := sort.Search(len(fr.top), func(i int) bool { return !costLess(fr.top[i], r) })
+	i := sort.Search(len(fr.top), func(i int) bool { return !costLess(fr.top[i], r) }) //lint:allow hotalloc enabled recorder only: sort.Search does not retain its comparator
 	if i < fr.topCap {
-		fr.top = append(fr.top, QueryRecord{})
+		fr.top = append(fr.top, QueryRecord{}) //lint:allow hotalloc enabled recorder only: the board never outgrows topCap+1 entries
 		copy(fr.top[i+1:], fr.top[i:])
 		fr.top[i] = r
 		if len(fr.top) > fr.topCap {

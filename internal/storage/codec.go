@@ -96,48 +96,110 @@ func VerifyPage(buf []byte) error {
 	return nil
 }
 
-// DecodeNode parses a node page. page is recorded into the result; the
-// buffer is not retained.
-func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
+// checkNode runs every check a node page must pass before anything reads
+// it: the checksum, the entry count against the page end, and a valid
+// rect in every entry. The buffer pool's source runs it once per fault
+// or pin, so a corrupt page fails its read and never becomes resident;
+// DecodeNode runs it on the pages it decodes. Errors name the page.
+func checkNode(buf []byte, page int) error {
 	if err := VerifyPage(buf); err != nil {
-		return rtree.NodeData{}, fmt.Errorf("storage: page %d: %w", page, err)
-	}
-	nd := rtree.NodeData{
-		Page:  page,
-		Leaf:  buf[0]&flagLeaf != 0,
-		Level: int(binary.LittleEndian.Uint32(buf[4:8])),
+		return fmt.Errorf("storage: page %d: %w", page, err)
 	}
 	count := int(binary.LittleEndian.Uint16(buf[2:4]))
 	if nodeHeaderSize+count*entrySize > len(buf) {
-		return rtree.NodeData{}, fmt.Errorf("storage: page %d claims %d entries beyond page end", page, count)
+		return fmt.Errorf("storage: page %d claims %d entries beyond page end", page, count)
 	}
-	nd.Rects = make([]geom.Rect, count)
+	v := viewNode(buf)
+	for i := 0; i < v.Len(); i++ {
+		if r := v.Rect(i); !r.Valid() {
+			return fmt.Errorf("storage: page %d entry %d has invalid rect %v", page, i, r)
+		}
+	}
+	return nil
+}
+
+// DecodeNode checks a node page (see checkNode) and copies it out. page
+// is recorded into the result; the buffer is not retained. Query paths
+// read checked frames in place through nodeView instead.
+func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
+	if err := checkNode(buf, page); err != nil {
+		return rtree.NodeData{}, err
+	}
+	return viewNode(buf).decode(page), nil
+}
+
+// nodeView reads a node page in place, without copying or checking it:
+// callers hand it bytes checkNode has already accepted (a frame faulted
+// in through the pool's checked source, or one the update path encoded).
+// The entry count is clamped to what the buffer holds, so even a frame
+// that skipped the checks cannot index past its end.
+type nodeView struct {
+	buf []byte
+	n   int
+}
+
+func viewNode(buf []byte) nodeView {
+	if len(buf) < nodeHeaderSize {
+		return nodeView{}
+	}
+	n := int(binary.LittleEndian.Uint16(buf[2:4]))
+	return nodeView{buf: buf, n: min(n, (len(buf)-nodeHeaderSize)/entrySize)}
+}
+
+// Len returns the entry count.
+func (v nodeView) Len() int { return v.n }
+
+// Leaf reports whether the entries are data items rather than children.
+func (v nodeView) Leaf() bool { return len(v.buf) > 0 && v.buf[0]&flagLeaf != 0 }
+
+// Level returns the node's level (paper convention, 0 = root).
+func (v nodeView) Level() int {
+	if len(v.buf) < nodeHeaderSize {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(v.buf[4:8]))
+}
+
+// Rect returns entry i's rectangle.
+func (v nodeView) Rect(i int) geom.Rect {
+	e := v.buf[nodeHeaderSize+i*entrySize : nodeHeaderSize+(i+1)*entrySize]
+	return geom.Rect{MinX: getFloat(e[0:8]), MinY: getFloat(e[8:16]), MaxX: getFloat(e[16:24]), MaxY: getFloat(e[24:32])}
+}
+
+// payload returns entry i's child page or data ID, undifferentiated.
+func (v nodeView) payload(i int) uint64 {
+	off := nodeHeaderSize + i*entrySize + 32
+	return binary.LittleEndian.Uint64(v.buf[off : off+8])
+}
+
+// Child returns the child page of internal entry i.
+func (v nodeView) Child(i int) int { return int(v.payload(i)) }
+
+// ID returns the data ID of leaf entry i.
+func (v nodeView) ID(i int) int64 { return int64(v.payload(i)) }
+
+// decode copies the node out into a NodeData recording page.
+func (v nodeView) decode(page int) rtree.NodeData {
+	nd := rtree.NodeData{
+		Page:  page,
+		Leaf:  v.Leaf(),
+		Level: v.Level(),
+		Rects: make([]geom.Rect, v.Len()),
+	}
 	if nd.Leaf {
-		nd.IDs = make([]int64, count)
+		nd.IDs = make([]int64, v.Len())
 	} else {
-		nd.Children = make([]int, count)
+		nd.Children = make([]int, v.Len())
 	}
-	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		nd.Rects[i] = geom.Rect{
-			MinX: getFloat(buf[off:]),
-			MinY: getFloat(buf[off+8:]),
-			MaxX: getFloat(buf[off+16:]),
-			MaxY: getFloat(buf[off+24:]),
-		}
-		if !nd.Rects[i].Valid() {
-			return rtree.NodeData{}, fmt.Errorf("storage: page %d entry %d has invalid rect %v",
-				page, i, nd.Rects[i])
-		}
-		payload := binary.LittleEndian.Uint64(buf[off+32:])
+	for i := range nd.Rects {
+		nd.Rects[i] = v.Rect(i)
 		if nd.Leaf {
-			nd.IDs[i] = int64(payload)
+			nd.IDs[i] = v.ID(i)
 		} else {
-			nd.Children[i] = int(payload)
+			nd.Children[i] = v.Child(i)
 		}
-		off += entrySize
 	}
-	return nd, nil
+	return nd
 }
 
 func putFloat(b []byte, v float64) {

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +14,12 @@ import (
 
 // FuzzDecodeNode throws arbitrary bytes at the page decoder: it must
 // either return an error or a structurally sane NodeData — never panic,
-// never return out-of-range shapes. `go test` exercises the seed corpus;
+// never return out-of-range shapes. It is also the differential check
+// between the pool's fault-time check and the decoder: checkNode must
+// accept exactly the pages DecodeNode accepts (and both exactly the
+// pages the layout's rules admit, restated independently below), and
+// on every accepted page the in-place nodeView must read the same node
+// DecodeNode copies out. `go test` exercises the seed corpus;
 // `go test -fuzz=FuzzDecodeNode ./internal/storage` explores further.
 func FuzzDecodeNode(f *testing.F) {
 	// Seeds: a valid leaf page, a valid internal page, mutations.
@@ -42,10 +49,42 @@ func FuzzDecodeNode(f *testing.F) {
 	corrupted[3] ^= 0xff
 	f.Add(corrupted)
 
+	invalidRect := append([]byte(nil), leafPage...)
+	putFloat(invalidRect[nodeHeaderSize:], 0.9) // MinX > MaxX
+	binary.LittleEndian.PutUint32(invalidRect[checksumOffset:], pageChecksum(invalidRect))
+	f.Add(invalidRect)
+	overfull := append([]byte(nil), leafPage...)
+	binary.LittleEndian.PutUint16(overfull[2:4], uint16(NodeCapacity(len(overfull))+1))
+	binary.LittleEndian.PutUint32(overfull[checksumOffset:], pageChecksum(overfull))
+	f.Add(overfull)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nd, err := DecodeNode(data, 0)
+		checkErr := checkNode(data, 0)
+		if (err == nil) != (checkErr == nil) {
+			t.Fatalf("DecodeNode err %v but checkNode err %v", err, checkErr)
+		}
+		if ok := layoutAdmits(data); ok != (err == nil) {
+			t.Fatalf("layout admits page: %v, but DecodeNode err %v", ok, err)
+		}
 		if err != nil {
 			return
+		}
+		v := viewNode(data)
+		if v.Len() != len(nd.Rects) || v.Leaf() != nd.Leaf || v.Level() != nd.Level {
+			t.Fatalf("view len %d leaf %v level %d, decoded %d/%v/%d",
+				v.Len(), v.Leaf(), v.Level(), len(nd.Rects), nd.Leaf, nd.Level)
+		}
+		for i, r := range nd.Rects {
+			// Compare bit patterns: the view must read the same floats.
+			vr := v.Rect(i)
+			if math.Float64bits(vr.MinX) != math.Float64bits(r.MinX) || math.Float64bits(vr.MinY) != math.Float64bits(r.MinY) ||
+				math.Float64bits(vr.MaxX) != math.Float64bits(r.MaxX) || math.Float64bits(vr.MaxY) != math.Float64bits(r.MaxY) {
+				t.Fatalf("entry %d: view rect %v, decoded %v", i, vr, r)
+			}
+			if nd.Leaf && v.ID(i) != nd.IDs[i] || !nd.Leaf && v.Child(i) != nd.Children[i] {
+				t.Fatalf("entry %d: view payload differs from the decoded one", i)
+			}
 		}
 		// Successful decodes must be internally consistent.
 		if nd.Leaf {
@@ -73,6 +112,32 @@ func FuzzDecodeNode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// layoutAdmits restates the node-page rules from the layout comment,
+// independently of the codec: a header, a CRC-32C over the page with the
+// checksum field zeroed, entries that fit, and MinX <= MaxX, MinY <= MaxY
+// in every entry (false for NaN).
+func layoutAdmits(page []byte) bool {
+	if len(page) < 16 {
+		return false
+	}
+	zeroed := append([]byte(nil), page...)
+	copy(zeroed[8:12], []byte{0, 0, 0, 0})
+	if crc32.Checksum(zeroed, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(page[8:12]) {
+		return false
+	}
+	count := int(binary.LittleEndian.Uint16(page[2:4]))
+	if 16+40*count > len(page) {
+		return false
+	}
+	for i := 0; i < count; i++ {
+		f := func(k int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(page[16+40*i+8*k:])) }
+		if !(f(0) <= f(2) && f(1) <= f(3)) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzOpenFile throws arbitrary file contents at the page-file opener:

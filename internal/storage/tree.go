@@ -370,11 +370,22 @@ type PagedTree struct {
 	ckptErr   error            // sticky warning: last due checkpoint failed; the op still committed
 }
 
-// dmSource adapts DiskManager to buffer.PageSource.
+// dmSource adapts DiskManager to buffer.PageSource. It checks every
+// page it delivers (checkNode) — once per pool fault or pin — so a
+// corrupt page fails its read, is counted as a failed read, and never
+// becomes resident. Frames the update path Puts were encoded in process
+// and are trusted. Readers can therefore scan resident frames in place
+// (nodeView) without re-checking them on every hit.
 type dmSource struct{ dm DiskManager }
 
-func (s dmSource) PageSize() int                       { return s.dm.PageSize() }
-func (s dmSource) ReadPage(page int, dst []byte) error { return s.dm.ReadPage(page, dst) }
+func (s dmSource) PageSize() int { return s.dm.PageSize() }
+
+func (s dmSource) ReadPage(page int, dst []byte) error {
+	if err := s.dm.ReadPage(page, dst); err != nil {
+		return err
+	}
+	return checkNode(dst, page)
+}
 
 // OpenPagedTree opens a persisted tree for buffered querying with the
 // given buffer capacity in pages, using the single-lock LRU pool the
@@ -487,9 +498,10 @@ func (pt *PagedTree) pinWalk(page, depth, n int) error {
 // pages through the buffer pool in DFS order (the order a real R-tree
 // search issues page requests).
 func (pt *PagedTree) SearchWindow(q geom.Rect) ([]rtree.Item, error) {
-	var out []rtree.Item
 	aq := pt.fr.Begin("window")
-	err := pt.search(0, 0, q, &out, aq)
+	w := getWindowWalk(q)
+	err := pt.walk(w, aq, nil, nil)
+	out := w.release()
 	aq.SetResults(len(out))
 	aq.End()
 	return out, err
@@ -519,10 +531,10 @@ func (r *CorruptionReport) Degraded() bool { return len(r.Faults) > 0 }
 // is not — the opt-in behaviour for serving reads off a partially
 // damaged file while a repair (Scrub + re-save) is scheduled.
 func (pt *PagedTree) SearchWindowDegraded(q geom.Rect) ([]rtree.Item, *CorruptionReport) {
-	var out []rtree.Item
-	rep := &CorruptionReport{}
-	pt.searchDegraded(0, q, &out, rep)
-	return out, rep
+	rep := &CorruptionReport{} //lint:allow hotalloc the report is the degraded query's second result
+	w := getWindowWalk(q)
+	_ = pt.walk(w, nil, rep, nil) // with a report, page failures are recorded, never returned
+	return w.release(), rep
 }
 
 // SearchPointDegraded is SearchWindowDegraded for a point query.
@@ -530,27 +542,37 @@ func (pt *PagedTree) SearchPointDegraded(p geom.Point) ([]rtree.Item, *Corruptio
 	return pt.SearchWindowDegraded(geom.PointRect(p))
 }
 
-func (pt *PagedTree) searchDegraded(page int, q geom.Rect, out *[]rtree.Item, rep *CorruptionReport) {
-	frame, err := pt.pool.Get(page)
-	if err != nil {
-		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-		return
-	}
-	nd, err := DecodeNode(frame, page)
-	if err != nil {
-		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-		return
-	}
-	for i, r := range nd.Rects {
-		if !r.Intersects(q) {
+// walk runs w's depth-first traversal from the root, reading each page
+// in place through the pool; w.visit pushes the matching children in
+// reverse, so they pop in entry order and pages are requested in the
+// order a recursive search requests them. Each access is attributed to
+// aq at its tree level. With rep nil the first page the pool cannot
+// serve fails the walk; with a report, the page and its error are
+// recorded and its subtree skipped. When emit is non-nil, each page's
+// matches are handed to it (outside the pool's lock) and dropped, so a
+// full scan holds one page of items at a time.
+func (pt *PagedTree) walk(w *windowWalk, aq *obs.ActiveQuery, rep *CorruptionReport, emit func(rtree.Item) error) error {
+	w.stack = append(w.stack[:0], pageRef{}) //lint:allow hotalloc stack append: the walker is pooled, so its capacity carries over between queries
+	for len(w.stack) > 0 {
+		ref := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		w.depth = ref.depth
+		info, err := pt.pool.View(ref.page, w.visitFn)
+		aq.Access(ref.depth, info.Hit, info.WriteBacks)
+		if err != nil {
+			if rep == nil {
+				return err
+			}
+			rep.Faults = append(rep.Faults, PageFault{Page: ref.page, Err: err}) //lint:allow hotalloc result append: the report is the degraded query's result
 			continue
 		}
-		if nd.Leaf {
-			*out = append(*out, rtree.Item{Rect: r, ID: nd.IDs[i]})
-		} else {
-			pt.searchDegraded(nd.Children[i], q, out, rep)
+		if emit != nil {
+			if err := w.emit(emit); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // Nearest returns the k stored items closest to p (Euclidean distance to
@@ -562,76 +584,23 @@ func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	type queued struct {
-		distSq float64
-		page   int // valid when item is false
-		depth  int // tree level of page, for access attribution
-		isItem bool
-		item   rtree.Item
-	}
-	// A slice-backed binary heap keyed on distSq.
-	var h []queued
-	push := func(e queued) {
-		h = append(h, e)
-		for i := len(h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if h[parent].distSq <= h[i].distSq {
-				break
-			}
-			h[parent], h[i] = h[i], h[parent]
-			i = parent
-		}
-	}
-	pop := func() queued {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < len(h) && h[l].distSq < h[smallest].distSq {
-				smallest = l
-			}
-			if r < len(h) && h[r].distSq < h[smallest].distSq {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			h[i], h[smallest] = h[smallest], h[i]
-			i = smallest
-		}
-		return top
-	}
-
 	aq := pt.fr.Begin("nearest")
-	push(queued{page: 0})
+	w := getNearestWalk(p)
+	defer w.release()
+	w.push(queued{page: 0})
 	var out []rtree.Neighbor
-	for len(h) > 0 && len(out) < k {
-		e := pop()
+	for len(w.heap) > 0 && len(out) < k {
+		e := w.pop()
 		if e.isItem {
-			out = append(out, rtree.Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)})
+			out = append(out, rtree.Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)}) //lint:allow hotalloc result append
 			continue
 		}
-		frame, info, err := pt.pool.GetTracked(e.page)
+		w.depth = e.depth
+		info, err := pt.pool.View(e.page, w.visitFn)
 		aq.Access(e.depth, info.Hit, info.WriteBacks)
 		if err != nil {
 			aq.End()
 			return nil, err
-		}
-		nd, err := DecodeNode(frame, e.page)
-		if err != nil {
-			aq.End()
-			return nil, err
-		}
-		for i, r := range nd.Rects {
-			d := minDistSq(p, r)
-			if nd.Leaf {
-				push(queued{distSq: d, isItem: true, item: rtree.Item{Rect: r, ID: nd.IDs[i]}})
-			} else {
-				push(queued{distSq: d, page: nd.Children[i], depth: e.depth + 1})
-			}
 		}
 	}
 	aq.SetResults(len(out))
@@ -651,79 +620,26 @@ func minDistSq(p geom.Point, r geom.Rect) float64 {
 // sequentially through the buffer pool — the sequential-scan access path
 // a query optimizer weighs against the index (examples/optimizer). The
 // leaf level is the last contiguous page range, so this is one linear
-// pass of meta.Levels[last] page reads.
+// pass of meta.Levels[last] page reads. On a tree whose updates broke
+// the level order, the leaves are scattered through the file and the
+// scan walks the tree instead, paying the page reads a full-window
+// search would. visit runs outside the pool's lock, one page of items
+// at a time.
 func (pt *PagedTree) ScanLeaves(visit func(rtree.Item) error) error {
+	w := getWindowWalk(everywhere)
+	defer w.release()
 	if !pt.meta.LevelOrder {
-		return pt.scanLeavesWalk(0, visit)
+		return pt.walk(w, nil, nil, visit)
 	}
 	lo, hi := pt.meta.LevelPageRange(len(pt.meta.Levels) - 1)
 	for page := lo; page < hi; page++ {
-		frame, err := pt.pool.Get(page)
-		if err != nil {
+		if _, err := pt.pool.View(page, w.visitFn); err != nil {
 			return err
 		}
-		nd, err := DecodeNode(frame, page)
-		if err != nil {
-			return err
-		}
-		if !nd.Leaf {
+		if !w.leaf {
 			return fmt.Errorf("storage: page %d in leaf range is not a leaf", page)
 		}
-		for i, r := range nd.Rects {
-			if err := visit(rtree.Item{Rect: r, ID: nd.IDs[i]}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scanLeavesWalk visits every item of a non-level-order tree by DFS: the
-// leaf pages are scattered through the file, so the scan pays the same
-// page reads a full-window search would (through the pool, each miss one
-// counted access).
-func (pt *PagedTree) scanLeavesWalk(page int, visit func(rtree.Item) error) error {
-	frame, err := pt.pool.Get(page)
-	if err != nil {
-		return err
-	}
-	nd, err := DecodeNode(frame, page)
-	if err != nil {
-		return err
-	}
-	if nd.Leaf {
-		for i, r := range nd.Rects {
-			if err := visit(rtree.Item{Rect: r, ID: nd.IDs[i]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, child := range nd.Children {
-		if err := pt.scanLeavesWalk(child, visit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (pt *PagedTree) search(page, depth int, q geom.Rect, out *[]rtree.Item, aq *obs.ActiveQuery) error {
-	frame, info, err := pt.pool.GetTracked(page)
-	aq.Access(depth, info.Hit, info.WriteBacks)
-	if err != nil {
-		return err
-	}
-	nd, err := DecodeNode(frame, page)
-	if err != nil {
-		return err
-	}
-	for i, r := range nd.Rects {
-		if !r.Intersects(q) {
-			continue
-		}
-		if nd.Leaf {
-			*out = append(*out, rtree.Item{Rect: r, ID: nd.IDs[i]})
-		} else if err := pt.search(nd.Children[i], depth+1, q, out, aq); err != nil {
+		if err := w.emit(visit); err != nil {
 			return err
 		}
 	}

@@ -184,12 +184,14 @@ func (u *updater) node(page int) (*updateNode, error) {
 	if n, ok := u.nodes[page]; ok {
 		return n, nil
 	}
-	frame, err := u.pt.pool.Get(page)
-	if err != nil {
-		return nil, err
-	}
-	nd, err := DecodeNode(frame, page)
-	if err != nil {
+	// The pool's source checked the page when it was faulted in (and
+	// frames the updater Put were encoded here), so staging copies the
+	// frame out without checking it again.
+	var nd rtree.NodeData
+	if _, err := u.pt.pool.View(page, func(frame []byte) error {
+		nd = viewNode(frame).decode(page)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	n := &updateNode{NodeData: nd}
