@@ -41,9 +41,11 @@ func HotRoots() []RootSpec {
 		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "Get"},
 		{Path: mod + "/internal/buffer", Recv: "Pool", Name: "View"},
 		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "View"},
-		// The paged query paths read frames in place through View; a
-		// query may allocate its results, its traversal stack and its kNN
-		// frontier (pooled, so they stop growing once warm), nothing else.
+		// The paged query paths read frames in place through View. A
+		// query gathers its matches in pooled result scratch and returns
+		// one exact-size copy, its only allocation once warm; the
+		// scratch, the traversal stack and the kNN frontier are pooled
+		// with their walker, so their appends stop growing once warm.
 		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Search*"},
 		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Nearest"},
 		{Path: mod + "/internal/core", Recv: "*", Name: "AccessProb"},

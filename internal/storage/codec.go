@@ -109,11 +109,12 @@ func checkNode(buf []byte, page int) error {
 	if nodeHeaderSize+count*entrySize > len(buf) {
 		return fmt.Errorf("storage: page %d claims %d entries beyond page end", page, count)
 	}
-	v := viewNode(buf)
-	for i := 0; i < v.Len(); i++ {
-		if r := v.Rect(i); !r.Valid() {
-			return fmt.Errorf("storage: page %d entry %d has invalid rect %v", page, i, r)
+	ents := viewNode(buf).entries()
+	for i := 0; len(ents) >= entrySize; i++ {
+		if e := (*entry)(ents); !e.valid() {
+			return fmt.Errorf("storage: page %d entry %d has invalid rect %v", page, i, e.rect())
 		}
+		ents = ents[entrySize:]
 	}
 	return nil
 }
@@ -160,23 +161,47 @@ func (v nodeView) Level() int {
 	return int(binary.LittleEndian.Uint32(v.buf[4:8]))
 }
 
-// Rect returns entry i's rectangle.
-func (v nodeView) Rect(i int) geom.Rect {
-	e := v.buf[nodeHeaderSize+i*entrySize : nodeHeaderSize+(i+1)*entrySize]
-	return geom.Rect{MinX: getFloat(e[0:8]), MinY: getFloat(e[8:16]), MaxX: getFloat(e[16:24]), MaxY: getFloat(e[24:32])}
+// entries returns the entry bytes, entrySize per entry, in entry order.
+// The query paths and checkNode scan them in place: each loop step takes
+// the next entry as an *entry, which costs the one bounds check of the
+// conversion, and reads its fields without further checks.
+func (v nodeView) entries() []byte {
+	if v.n == 0 {
+		return nil
+	}
+	return v.buf[nodeHeaderSize : nodeHeaderSize+v.n*entrySize]
 }
 
-// payload returns entry i's child page or data ID, undifferentiated.
-func (v nodeView) payload(i int) uint64 {
-	off := nodeHeaderSize + i*entrySize + 32
-	return binary.LittleEndian.Uint64(v.buf[off : off+8])
+// entry returns entry i.
+func (v nodeView) entry(i int) *entry { return (*entry)(v.entries()[i*entrySize:]) }
+
+// entry is one entry's bytes in place (see the layout above): the
+// entry-scan kernel the query paths and checkNode share. Its predicates
+// read a coordinate only when the ones before it have not decided the
+// answer.
+type entry [entrySize]byte
+
+func (e *entry) minX() float64 { return getFloat(e[0:8]) }
+func (e *entry) minY() float64 { return getFloat(e[8:16]) }
+func (e *entry) maxX() float64 { return getFloat(e[16:24]) }
+func (e *entry) maxY() float64 { return getFloat(e[24:32]) }
+
+// rect decodes the entry's rectangle.
+func (e *entry) rect() geom.Rect {
+	return geom.Rect{MinX: e.minX(), MinY: e.minY(), MaxX: e.maxX(), MaxY: e.maxY()}
 }
 
-// Child returns the child page of internal entry i.
-func (v nodeView) Child(i int) int { return int(v.payload(i)) }
+// payload returns the child page or data ID, undifferentiated.
+func (e *entry) payload() uint64 { return binary.LittleEndian.Uint64(e[32:40]) }
 
-// ID returns the data ID of leaf entry i.
-func (v nodeView) ID(i int) int64 { return int64(v.payload(i)) }
+// intersects is e.rect().Intersects(q) — closed intervals, false if any
+// compared coordinate is NaN — rejecting on the first failing bound.
+func (e *entry) intersects(q geom.Rect) bool {
+	return e.minX() <= q.MaxX && q.MinX <= e.maxX() && e.minY() <= q.MaxY && q.MinY <= e.maxY()
+}
+
+// valid is e.rect().Valid().
+func (e *entry) valid() bool { return e.minX() <= e.maxX() && e.minY() <= e.maxY() }
 
 // decode copies the node out into a NodeData recording page.
 func (v nodeView) decode(page int) rtree.NodeData {
@@ -192,11 +217,12 @@ func (v nodeView) decode(page int) rtree.NodeData {
 		nd.Children = make([]int, v.Len())
 	}
 	for i := range nd.Rects {
-		nd.Rects[i] = v.Rect(i)
+		e := v.entry(i)
+		nd.Rects[i] = e.rect()
 		if nd.Leaf {
-			nd.IDs[i] = v.ID(i)
+			nd.IDs[i] = int64(e.payload())
 		} else {
-			nd.Children[i] = v.Child(i)
+			nd.Children[i] = int(e.payload())
 		}
 	}
 	return nd

@@ -501,7 +501,8 @@ func (pt *PagedTree) SearchWindow(q geom.Rect) ([]rtree.Item, error) {
 	aq := pt.fr.Begin("window")
 	w := getWindowWalk(q)
 	err := pt.walk(w, aq, nil, nil)
-	out := w.release()
+	out := w.results()
+	w.release()
 	aq.SetResults(len(out))
 	aq.End()
 	return out, err
@@ -534,7 +535,9 @@ func (pt *PagedTree) SearchWindowDegraded(q geom.Rect) ([]rtree.Item, *Corruptio
 	rep := &CorruptionReport{} //lint:allow hotalloc the report is the degraded query's second result
 	w := getWindowWalk(q)
 	_ = pt.walk(w, nil, rep, nil) // with a report, page failures are recorded, never returned
-	return w.release(), rep
+	out := w.results()
+	w.release()
+	return out, rep
 }
 
 // SearchPointDegraded is SearchWindowDegraded for a point query.
@@ -588,11 +591,10 @@ func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	w := getNearestWalk(p)
 	defer w.release()
 	w.push(queued{page: 0})
-	var out []rtree.Neighbor
-	for len(w.heap) > 0 && len(out) < k {
+	for len(w.heap) > 0 && len(w.out) < k {
 		e := w.pop()
 		if e.isItem {
-			out = append(out, rtree.Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)}) //lint:allow hotalloc result append
+			w.out = append(w.out, rtree.Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)}) //lint:allow hotalloc result append into pooled scratch: its capacity carries over between queries
 			continue
 		}
 		w.depth = e.depth
@@ -603,9 +605,9 @@ func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 			return nil, err
 		}
 	}
-	aq.SetResults(len(out))
+	aq.SetResults(len(w.out))
 	aq.End()
-	return out, nil
+	return exactCopy(w.out), nil
 }
 
 // minDistSq returns the squared minimum Euclidean distance from p to r

@@ -326,8 +326,9 @@ func TestResilientRereadHealsBeforePool(t *testing.T) {
 
 // TestWindowQueryAllocsIndependentOfNodesVisited guards the in-place
 // read path: on a warm tree, a window query that matches no item
-// allocates the same small constant whether it visits a handful of
-// nodes or many — nothing is allocated per node visit.
+// allocates nothing, whether it visits a handful of nodes or many, and
+// a window or kNN query with matches allocates once, its exact-size
+// result — nothing is allocated per node visit or per match.
 func TestWindowQueryAllocsIndependentOfNodesVisited(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops walkers at random")
@@ -387,8 +388,38 @@ func TestWindowQueryAllocsIndependentOfNodesVisited(t *testing.T) {
 			}
 			a, b := allocs(short), allocs(long)
 			t.Logf("allocs per query: %.0f visiting %d nodes, %.0f visiting %d", a, few, b, many)
-			if a != b || b > 1 {
-				t.Errorf("allocs per query %.0f (%d nodes) vs %.0f (%d nodes): want the same constant, at most 1", a, few, b, many)
+			if a != 0 || b != 0 {
+				t.Errorf("allocs per empty query %.0f (%d nodes) vs %.0f (%d nodes): want 0", a, few, b, many)
+			}
+
+			// A band across the grid matches a row of points in many leaves.
+			band := geom.Rect{MinX: 0, MinY: 29.0 / side, MaxX: 1, MaxY: 31.0 / side}
+			got, err := pt.SearchWindow(band)
+			if err != nil || len(got) < side {
+				t.Fatalf("band query: %d items, err %v; want at least %d", len(got), err, side)
+			}
+			if len(got) != cap(got) {
+				t.Errorf("window result len %d, cap %d: want an exact-size copy", len(got), cap(got))
+			}
+			if n := allocs(band); n != 1 {
+				t.Errorf("allocs per window query with %d matches = %.0f, want 1", len(got), n)
+			}
+
+			p := geom.Point{X: 0.5, Y: 0.5}
+			nn, err := pt.Nearest(p, 10)
+			if err != nil || len(nn) != 10 {
+				t.Fatalf("Nearest: %d neighbours, err %v; want 10", len(nn), err)
+			}
+			if len(nn) != cap(nn) {
+				t.Errorf("kNN result len %d, cap %d: want an exact-size copy", len(nn), cap(nn))
+			}
+			n := testing.AllocsPerRun(200, func() {
+				if _, err := pt.Nearest(p, 10); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 1 {
+				t.Errorf("allocs per Nearest(p, 10) = %.0f, want 1", n)
 			}
 		})
 	}
@@ -405,4 +436,131 @@ func mustMeta(t *testing.T, dm DiskManager) TreeMeta {
 		t.Fatal(err)
 	}
 	return meta
+}
+
+// TestQueryResultsDoNotAlias checks that a returned result is the
+// caller's: queries run later, on the same goroutine or by concurrent
+// readers of a sharded tree, must not change it, although every query
+// gathers its matches in pooled scratch.
+func TestQueryResultsDoNotAlias(t *testing.T) {
+	dm, _ := savedMemoryTree(t, 3000, 16)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pt, err := OpenPagedTreeWith(dm, 1000, "lru", shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readers := 1
+			if shards > 1 {
+				readers = 4
+			}
+			errs := make(chan error, readers)
+			for r := 0; r < readers; r++ {
+				go func(seed uint64) { errs <- queryAndRecheck(pt, seed, 200) }(uint64(r))
+			}
+			for r := 0; r < readers; r++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+}
+
+// queryAndRecheck runs random window, degraded-window and kNN queries,
+// keeping every result next to a private copy of it, then checks that
+// none of the kept results changed while the later queries ran.
+func queryAndRecheck(pt *PagedTree, seed uint64, ops int) error {
+	rng := rand.New(rand.NewPCG(seed, 77))
+	type kept struct {
+		items, itemsCopy []rtree.Item
+		nbrs, nbrsCopy   []rtree.Neighbor
+	}
+	var all []kept
+	for i := 0; i < ops; i++ {
+		c := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		var k kept
+		switch rng.IntN(3) {
+		case 0:
+			nbrs, err := pt.Nearest(c, 1+rng.IntN(20))
+			if err != nil {
+				return err
+			}
+			k.nbrs = nbrs
+		case 1:
+			items, rep := pt.SearchWindowDegraded(geom.RectAround(c, 0.2, 0.2))
+			if rep.Degraded() {
+				return fmt.Errorf("degraded search on a healthy tree: %+v", rep.Faults)
+			}
+			k.items = items
+		default:
+			items, err := pt.SearchWindow(geom.RectAround(c, rng.Float64()*0.3, rng.Float64()*0.3))
+			if err != nil {
+				return err
+			}
+			k.items = items
+		}
+		k.itemsCopy = append([]rtree.Item(nil), k.items...)
+		k.nbrsCopy = append([]rtree.Neighbor(nil), k.nbrs...)
+		all = append(all, k)
+	}
+	for i, k := range all {
+		if !reflect.DeepEqual(k.items, k.itemsCopy) || !reflect.DeepEqual(k.nbrs, k.nbrsCopy) {
+			return fmt.Errorf("result of query %d changed while later queries ran", i)
+		}
+	}
+	return nil
+}
+
+// TestWalkerScratchBounded checks that a walker drops result scratch
+// that grew past maxRetained before it returns to its pool, so one huge
+// query does not leave its backing array pinned there.
+func TestWalkerScratchBounded(t *testing.T) {
+	if got := trim(make([]int, 5, maxRetained)); got == nil || len(got) != 0 {
+		t.Errorf("trim dropped scratch within the bound (got %v)", got)
+	}
+	if got := trim(make([]int, 5, maxRetained+1)); got != nil {
+		t.Errorf("trim kept scratch of cap %d past the bound %d", cap(got), maxRetained)
+	}
+
+	dm, tr := savedMemoryTree(t, 2*maxRetained, 16)
+	pt, err := OpenPagedTree(dm, tr.NodeCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := geom.Point{X: 0.5, Y: 0.5}
+	huge, err := pt.SearchWindow(geom.UnitSquare)
+	if err != nil || len(huge) <= maxRetained {
+		t.Fatalf("full-window query: %d items, err %v; want more than %d", len(huge), err, maxRetained)
+	}
+	if nn, err := pt.Nearest(p, tr.Len()); err != nil || len(nn) != tr.Len() {
+		t.Fatalf("Nearest(all): %d neighbours, err %v; want %d", len(nn), err, tr.Len())
+	}
+	if _, err := pt.SearchWindow(geom.RectAround(p, 0.01, 0.01)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pt.Nearest(p, 3); err != nil {
+		t.Fatal(err)
+	}
+
+	// Take every pooled walker out (the pool makes fresh ones once it is
+	// empty), check it, and put them all back.
+	var ws []*windowWalk
+	var ns []*nearestWalk
+	for i := 0; i < 64; i++ {
+		w := windowWalks.Get().(*windowWalk)
+		if cap(w.out) > maxRetained {
+			t.Errorf("pooled window walker keeps result scratch of cap %d", cap(w.out))
+		}
+		ws = append(ws, w)
+		n := nearestWalks.Get().(*nearestWalk)
+		if cap(n.out) > maxRetained || cap(n.heap) > maxRetained {
+			t.Errorf("pooled kNN walker keeps scratch of cap %d (results), %d (frontier)", cap(n.out), cap(n.heap))
+		}
+		ns = append(ns, n)
+	}
+	for i := range ws {
+		windowWalks.Put(ws[i])
+		nearestWalks.Put(ns[i])
+	}
 }

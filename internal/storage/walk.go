@@ -13,12 +13,36 @@ import (
 // pool. Each traversal therefore keeps its pending pages in a walker and
 // reads one page per View call. Walkers are pooled: their visit method
 // value is bound once, when the walker is made, and their stack or heap
-// keeps its capacity between queries, so a query allocates only its
-// results.
+// keeps its capacity between queries. So does their result scratch:
+// a query collects its matches there and returns one exact-size copy,
+// its only allocation (none when nothing matches).
 
 // pageRef is a pending page visit: the page and its tree level (root 0),
 // the level the flight recorder attributes the access to.
 type pageRef struct{ page, depth int }
+
+// maxRetained bounds, in elements, each scratch slice a walker keeps
+// when it returns to its pool; a larger one is dropped, so one huge
+// query does not pin its backing array in the pool.
+const maxRetained = 4096
+
+// trim empties s for reuse, or drops it if it grew past maxRetained.
+func trim[T any](s []T) []T {
+	if cap(s) > maxRetained {
+		return nil
+	}
+	return s[:0]
+}
+
+// exactCopy returns a copy of s with len == cap, or nil when s is empty.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s)) //lint:allow hotalloc result copy: the query's one allocation, exact-size, out of pooled scratch
+	copy(out, s)
+	return out
+}
 
 // everywhere intersects every valid rect, turning a window walk into a
 // full scan.
@@ -33,7 +57,7 @@ type windowWalk struct {
 	depth   int  // level of the page being visited
 	leaf    bool // whether the page last visited was a leaf
 	stack   []pageRef
-	out     []rtree.Item
+	out     []rtree.Item       // result scratch
 	visitFn func([]byte) error // visit, bound once per walker
 }
 
@@ -49,14 +73,15 @@ func getWindowWalk(q geom.Rect) *windowWalk {
 	return w
 }
 
-// release returns w to the pool and hands back its results, which the
-// walker no longer references.
-func (w *windowWalk) release() []rtree.Item {
-	out := w.out
-	w.out = nil
+// results returns an exact-size copy of the matches gathered so far.
+func (w *windowWalk) results() []rtree.Item { return exactCopy(w.out) }
+
+// release returns w to the pool; slices taken from results stay the
+// caller's.
+func (w *windowWalk) release() {
+	w.out = trim(w.out)
 	w.stack = w.stack[:0]
 	windowWalks.Put(w)
-	return out
 }
 
 // visit scans one node frame in place: a leaf's matching entries become
@@ -65,17 +90,18 @@ func (w *windowWalk) release() []rtree.Item {
 func (w *windowWalk) visit(frame []byte) error {
 	v := viewNode(frame)
 	w.leaf = v.Leaf()
+	ents := v.entries()
 	if w.leaf {
-		for i := 0; i < v.Len(); i++ {
-			if r := v.Rect(i); r.Intersects(w.q) {
-				w.out = append(w.out, rtree.Item{Rect: r, ID: v.ID(i)}) //lint:allow hotalloc result append
+		for ; len(ents) >= entrySize; ents = ents[entrySize:] {
+			if e := (*entry)(ents); e.intersects(w.q) {
+				w.out = append(w.out, rtree.Item{Rect: e.rect(), ID: int64(e.payload())}) //lint:allow hotalloc result append into pooled scratch: its capacity carries over between queries
 			}
 		}
 		return nil
 	}
-	for i := v.Len() - 1; i >= 0; i-- {
-		if v.Rect(i).Intersects(w.q) {
-			w.stack = append(w.stack, pageRef{page: v.Child(i), depth: w.depth + 1}) //lint:allow hotalloc stack append: the walker is pooled, so its capacity carries over between queries
+	for end := len(ents); end >= entrySize; end -= entrySize {
+		if e := (*entry)(ents[end-entrySize:]); e.intersects(w.q) {
+			w.stack = append(w.stack, pageRef{page: int(e.payload()), depth: w.depth + 1}) //lint:allow hotalloc stack append: the walker is pooled, so its capacity carries over between queries
 		}
 	}
 	return nil
@@ -108,6 +134,7 @@ type nearestWalk struct {
 	p       geom.Point
 	depth   int // level of the page being visited
 	heap    []queued
+	out     []rtree.Neighbor   // result scratch
 	visitFn func([]byte) error // visit, bound once per walker
 }
 
@@ -124,7 +151,8 @@ func getNearestWalk(p geom.Point) *nearestWalk {
 }
 
 func (w *nearestWalk) release() {
-	w.heap = w.heap[:0]
+	w.heap = trim(w.heap)
+	w.out = trim(w.out)
 	nearestWalks.Put(w)
 }
 
@@ -133,13 +161,14 @@ func (w *nearestWalk) release() {
 func (w *nearestWalk) visit(frame []byte) error {
 	v := viewNode(frame)
 	leaf := v.Leaf()
-	for i := 0; i < v.Len(); i++ {
-		r := v.Rect(i)
+	for ents := v.entries(); len(ents) >= entrySize; ents = ents[entrySize:] {
+		e := (*entry)(ents)
+		r := e.rect()
 		d := minDistSq(w.p, r)
 		if leaf {
-			w.push(queued{distSq: d, isItem: true, item: rtree.Item{Rect: r, ID: v.ID(i)}})
+			w.push(queued{distSq: d, isItem: true, item: rtree.Item{Rect: r, ID: int64(e.payload())}})
 		} else {
-			w.push(queued{distSq: d, page: v.Child(i), depth: w.depth + 1})
+			w.push(queued{distSq: d, page: int(e.payload()), depth: w.depth + 1})
 		}
 	}
 	return nil
