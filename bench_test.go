@@ -17,6 +17,7 @@ import (
 	"rtreebuf/internal/experiments"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
+	"rtreebuf/internal/storage"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -187,6 +188,57 @@ func BenchmarkQueryThroughPool(b *testing.B) {
 		if _, err := paged.SearchWindow(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUpdateThroughPool measures the logged update path end to end:
+// one Insert and the Delete of the same item per iteration, each a WAL
+// batch, against a warm tree whose page and log devices are in memory
+// and whose pages all fit the LRU pool.
+func BenchmarkUpdateThroughPool(b *testing.B) {
+	items := ablationItems(20000)
+	tree, err := rtreebuf.Load(rtreebuf.HilbertSort, rtreebuf.Params{MaxEntries: 100}, items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dm, err := storage.NewMemoryManager(storage.DefaultPageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := storage.SaveTree(dm, tree); err != nil {
+		b.Fatal(err)
+	}
+	walDev, err := storage.NewMemoryManager(storage.DefaultPageSize + storage.WALFrameOverhead)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paged, _, err := storage.OpenPagedTreeWAL(dm, walDev, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A fixed cycle of small items: the first pass splits the packed
+	// leaves they land in, later passes run on a tree whose shape the
+	// Insert/Delete pairs leave unchanged.
+	probes := make([]rtree.Item, 97)
+	for i := range probes {
+		x, y := float64(i)/97, float64(i*31%97)/97
+		probes[i] = rtree.Item{Rect: rtreebuf.Rect{MinX: x, MinY: y, MaxX: x + 0.001, MaxY: y + 0.001}, ID: int64(1_000_000 + i)}
+	}
+	pair := func(it rtree.Item) {
+		if err := paged.Insert(it); err != nil {
+			b.Fatal(err)
+		}
+		if found, err := paged.Delete(it); err != nil || !found {
+			b.Fatalf("delete of item %d: found=%v err=%v", it.ID, found, err)
+		}
+	}
+	for _, it := range probes {
+		pair(it)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair(probes[i%len(probes)])
 	}
 }
 

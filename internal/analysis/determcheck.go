@@ -61,6 +61,11 @@ func DetermRoots() []RootSpec {
 		{Path: mod + "/internal/obs", Name: "Write*"},
 		{Path: mod + "/internal/storage", Name: "SaveTree*"},
 		{Path: mod + "/internal/storage", Name: "EncodeNode"},
+		// The update path writes the page and log bytes of every batch
+		// without EncodeNode: the staged images it commits must be a
+		// function of the tree and the operation alone.
+		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Insert"},
+		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Delete"},
 		// The write path: recovery must be a pure function of the log
 		// bytes (every reopen of the same crashed state yields the same
 		// pages), and dirty-page flushing must emit writes in an order

@@ -39,9 +39,8 @@ func NodeCapacity(pageSize int) int {
 
 // EncodeNode serializes nd into a fresh page of the given size.
 func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
-	if len(nd.Rects) > NodeCapacity(pageSize) {
-		return nil, fmt.Errorf("storage: node with %d entries exceeds page capacity %d",
-			len(nd.Rects), NodeCapacity(pageSize))
+	if err := checkCapacity(len(nd.Rects), pageSize); err != nil {
+		return nil, err
 	}
 	buf := make([]byte, pageSize)
 	if nd.Leaf {
@@ -51,19 +50,27 @@ func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(nd.Level))
 	off := nodeHeaderSize
 	for i, r := range nd.Rects {
-		putFloat(buf[off:], r.MinX)
-		putFloat(buf[off+8:], r.MinY)
-		putFloat(buf[off+16:], r.MaxX)
-		putFloat(buf[off+24:], r.MaxY)
+		e := (*entry)(buf[off:])
+		e.setRect(r)
 		if nd.Leaf {
-			binary.LittleEndian.PutUint64(buf[off+32:], uint64(nd.IDs[i]))
+			e.setPayload(uint64(nd.IDs[i]))
 		} else {
-			binary.LittleEndian.PutUint64(buf[off+32:], uint64(nd.Children[i]))
+			e.setPayload(uint64(nd.Children[i]))
 		}
 		off += entrySize
 	}
 	binary.LittleEndian.PutUint32(buf[checksumOffset:], pageChecksum(buf))
 	return buf, nil
+}
+
+// checkCapacity refuses a node of count entries that does not fit a
+// page of the given size.
+func checkCapacity(count, pageSize int) error {
+	if count > NodeCapacity(pageSize) {
+		return fmt.Errorf("storage: node with %d entries exceeds page capacity %d",
+			count, NodeCapacity(pageSize))
+	}
+	return nil
 }
 
 // pageChecksum computes the CRC-32C of the page with the checksum field
@@ -131,7 +138,7 @@ func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 
 // nodeView reads a node page in place, without copying or checking it:
 // callers hand it bytes checkNode has already accepted (a frame faulted
-// in through the pool's checked source, or one the update path encoded).
+// in through the pool's checked source, or one the update path sealed).
 // The entry count is clamped to what the buffer holds, so even a frame
 // that skipped the checks cannot index past its end.
 type nodeView struct {
@@ -193,6 +200,17 @@ func (e *entry) rect() geom.Rect {
 
 // payload returns the child page or data ID, undifferentiated.
 func (e *entry) payload() uint64 { return binary.LittleEndian.Uint64(e[32:40]) }
+
+// setRect overwrites the entry's rectangle.
+func (e *entry) setRect(r geom.Rect) {
+	putFloat(e[0:8], r.MinX)
+	putFloat(e[8:16], r.MinY)
+	putFloat(e[16:24], r.MaxX)
+	putFloat(e[24:32], r.MaxY)
+}
+
+// setPayload overwrites the child page or data ID.
+func (e *entry) setPayload(p uint64) { binary.LittleEndian.PutUint64(e[32:40], p) }
 
 // intersects is e.rect().Intersects(q) — closed intervals, false if any
 // compared coordinate is NaN — rejecting on the first failing bound.

@@ -368,12 +368,13 @@ type PagedTree struct {
 	ckpt      CheckpointPolicy // when to truncate the log
 	updateErr error            // sticky: a half-applied commit poisons the handle
 	ckptErr   error            // sticky warning: last due checkpoint failed; the op still committed
+	upd       *updater         // staging state reused across updates; made by the first one
 }
 
 // dmSource adapts DiskManager to buffer.PageSource. It checks every
 // page it delivers (checkNode) — once per pool fault or pin — so a
 // corrupt page fails its read, is counted as a failed read, and never
-// becomes resident. Frames the update path Puts were encoded in process
+// becomes resident. Frames the update path Puts were sealed in process
 // and are trusted. Readers can therefore scan resident frames in place
 // (nodeView) without re-checking them on every hit.
 type dmSource struct{ dm DiskManager }

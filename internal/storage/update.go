@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtreebuf/internal/geom"
 	"rtreebuf/internal/rtree"
@@ -12,8 +14,13 @@ import (
 // executed directly against stored pages through the buffer pool, with
 // every mutation funneled through a redo-only write-ahead log.
 //
-// One operation is one WAL batch. An operation stages its changes in
-// memory (decoded NodeData per touched page), then commits:
+// One operation is one WAL batch. An operation stages its changes as
+// page images: the first touch of a page copies its frame into a buffer
+// the tree reuses across operations, and the algorithm reads and edits
+// entries in those bytes in place (the entry kernel of codec.go). The
+// commit seals each dirty image — reserved bytes and the tail past the
+// last entry zeroed, checksum written, byte-identical to EncodeNode's
+// output for the same node — and hands the same bytes to every step:
 //
 //	1. page images + new catalog  -> WAL (AppendBatch; the log device's
 //	   WriteMeta is the commit point)
@@ -100,7 +107,8 @@ func (pt *PagedTree) Insert(item rtree.Item) error {
 	if err != nil {
 		return err
 	}
-	if err := u.insertEntry(item.Rect, 0, item.ID, true, len(u.meta.Levels)-1); err != nil {
+	defer u.release()
+	if err := u.insertEntry(item.Rect, uint64(item.ID), true, len(u.meta.Levels)-1); err != nil {
 		return err
 	}
 	u.meta.Items++
@@ -116,30 +124,24 @@ func (pt *PagedTree) Delete(item rtree.Item) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	var path []int
-	found, err := u.findLeaf(0, item, &path)
+	defer u.release()
+	u.leafPath = u.leafPath[:0]
+	found, err := u.findLeaf(0, item, &u.leafPath)
 	if err != nil || !found {
 		return false, err
 	}
-	leaf, err := u.node(path[len(path)-1])
+	leaf, err := u.node(u.leafPath[len(u.leafPath)-1])
 	if err != nil {
 		return false, err
 	}
-	idx := -1
-	for i, r := range leaf.Rects {
-		if leaf.IDs[i] == item.ID && r.Equal(item.Rect) {
-			idx = i
-			break
-		}
-	}
+	idx := leaf.indexOfItem(item)
 	if idx < 0 {
-		return false, fmt.Errorf("storage: found leaf lost entry (page %d)", leaf.Page)
+		return false, fmt.Errorf("storage: found leaf lost entry (page %d)", leaf.page)
 	}
-	leaf.Rects = append(leaf.Rects[:idx], leaf.Rects[idx+1:]...)
-	leaf.IDs = append(leaf.IDs[:idx], leaf.IDs[idx+1:]...)
+	leaf.remove(idx)
 	leaf.dirty = true
 	u.meta.Items--
-	if err := u.condense(path); err != nil {
+	if err := u.condense(u.leafPath); err != nil {
 		return false, err
 	}
 	if err := u.shrinkRoot(); err != nil {
@@ -148,21 +150,152 @@ func (pt *PagedTree) Delete(item rtree.Item) (bool, error) {
 	return true, pt.commitUpdate(u)
 }
 
-// updateNode is one staged page: the decoded node plus batch-local flags.
+// updateNode is one staged page: its image plus batch-local flags. buf
+// holds the page in the node layout (codec.go) with room for one entry
+// past the page, so a node can overflow by one entry until it splits
+// even when MaxEntries == NodeCapacity. The header's entry count is the
+// node's size; bytes past the last entry are stale until seal zeroes
+// them.
 type updateNode struct {
-	rtree.NodeData
+	page  int
+	buf   []byte
 	dirty bool // differs from the stored page; goes into the WAL batch
 	freed bool // released this batch; excluded from the batch images
 }
 
+func (n *updateNode) count() int     { return int(binary.LittleEndian.Uint16(n.buf[2:4])) }
+func (n *updateNode) setCount(c int) { binary.LittleEndian.PutUint16(n.buf[2:4], uint16(c)) }
+func (n *updateNode) leaf() bool     { return n.buf[0]&flagLeaf != 0 }
+func (n *updateNode) level() int     { return int(binary.LittleEndian.Uint32(n.buf[4:8])) }
+func (n *updateNode) setLevel(l int) { binary.LittleEndian.PutUint32(n.buf[4:8], uint32(l)) }
+
+// entries returns the entry bytes, entrySize per entry, in entry order.
+func (n *updateNode) entries() []byte {
+	return n.buf[nodeHeaderSize : nodeHeaderSize+n.count()*entrySize]
+}
+
+func (n *updateNode) entry(i int) *entry         { return (*entry)(n.buf[nodeHeaderSize+i*entrySize:]) }
+func (n *updateNode) rect(i int) geom.Rect       { return n.entry(i).rect() }
+func (n *updateNode) child(i int) int            { return int(n.entry(i).payload()) }
+func (n *updateNode) setRect(i int, r geom.Rect) { n.entry(i).setRect(r) }
+
+// appendEntry adds an entry after the last one.
+func (n *updateNode) appendEntry(r geom.Rect, payload uint64) {
+	e := n.grow()
+	e.setRect(r)
+	e.setPayload(payload)
+}
+
+// appendRaw adds a copy of an entry's bytes after the last entry.
+func (n *updateNode) appendRaw(src []byte) { copy(n.grow()[:], src[:entrySize]) }
+
+// grow adds one entry slot after the last entry and returns it. Only a
+// catalog whose MaxEntries exceeds the page capacity can outgrow the
+// spare slot; commit then refuses the node, as EncodeNode would.
+func (n *updateNode) grow() *entry {
+	c := n.count()
+	off := nodeHeaderSize + c*entrySize
+	if off+entrySize > len(n.buf) {
+		n.buf = append(n.buf, make([]byte, entrySize)...)
+	}
+	n.setCount(c + 1)
+	return (*entry)(n.buf[off:])
+}
+
+// remove deletes entry i, shifting the later entries down one slot.
+func (n *updateNode) remove(i int) {
+	ents := n.entries()
+	copy(ents[i*entrySize:], ents[(i+1)*entrySize:])
+	n.setCount(n.count() - 1)
+}
+
+// mbr returns the union of the entries' rectangles, folded in entry
+// order. The node must not be empty.
+func (n *updateNode) mbr() geom.Rect {
+	ents := n.entries()
+	out := (*entry)(ents).rect()
+	for ents = ents[entrySize:]; len(ents) >= entrySize; ents = ents[entrySize:] {
+		out = out.Union((*entry)(ents).rect())
+	}
+	return out
+}
+
+// indexOfChild returns the index of the entry pointing at page, or -1.
+func (n *updateNode) indexOfChild(page int) int {
+	for i := range n.count() {
+		if n.child(i) == page {
+			return i
+		}
+	}
+	return -1
+}
+
+// indexOfItem returns the index of the leaf entry equal to item (same
+// ID, equal rectangle), or -1.
+func (n *updateNode) indexOfItem(item rtree.Item) int {
+	for i := range n.count() {
+		if e := n.entry(i); int64(e.payload()) == item.ID && e.rect().Equal(item.Rect) {
+			return i
+		}
+	}
+	return -1
+}
+
+// seal finishes the image for commit and returns the page's bytes: it
+// refuses an overfull node, clears the reserved header bits and
+// everything past the last entry, and writes the checksum — the bytes
+// EncodeNode writes for the same node.
+func (n *updateNode) seal(pageSize int) ([]byte, error) {
+	c := n.count()
+	if err := checkCapacity(c, pageSize); err != nil {
+		return nil, err
+	}
+	img := n.buf[:pageSize]
+	img[0] &= flagLeaf
+	img[1] = 0
+	clear(img[checksumOffset+4 : nodeHeaderSize])
+	clear(img[nodeHeaderSize+c*entrySize:])
+	binary.LittleEndian.PutUint32(img[checksumOffset:], pageChecksum(img))
+	return img, nil
+}
+
+// maxSpareNodes bounds the staged nodes (each with its page buffer) the
+// updater keeps for later operations. A root split or shrink restamps,
+// and so stages, every page of the tree; those beyond the bound are
+// dropped when the operation ends.
+const maxSpareNodes = 64
+
+// orphan is an entry cut loose by condense, waiting for reinsertion.
+type orphan struct {
+	rect    geom.Rect
+	payload uint64 // child page, or data ID when isItem
+	isItem  bool
+	height  int // of the node the entry lived in (0 = leaf)
+}
+
 // updater stages one operation's changes before the all-or-nothing
-// commit. Pages are decoded on first touch (reads go through the pool,
-// so the operation's I/O is counted like any query's); the stored tree
-// and catalog stay untouched until commitUpdate.
+// commit. A page is copied out of its frame on first touch (reads go
+// through the pool, so the operation's I/O is counted like any
+// query's) and edited in place; the stored tree and catalog stay
+// untouched until commitUpdate. A tree keeps one updater, and with it
+// the page buffers and scratch, across operations.
 type updater struct {
 	pt    *PagedTree
-	meta  TreeMeta // deep copy; mutated freely
-	nodes map[int]*updateNode
+	meta  TreeMeta            // deep copy; mutated freely
+	nodes map[int]*updateNode // staged nodes by page
+	order []*updateNode       // staged nodes in first-touch order
+	spare []*updateNode       // released nodes, at most maxSpareNodes
+
+	staging *updateNode        // the node copyFrame fills
+	copyFn  func([]byte) error // copyFrame, bound once
+
+	// Scratch carried between operations.
+	descent  []int // insertEntry's root-to-target path
+	leafPath []int // Delete's root-to-leaf path
+	orphans  []orphan
+	rects    []geom.Rect // split input
+	spill    []byte      // entries of the node being split
+	images   []PageImage
 }
 
 func (pt *PagedTree) beginUpdate() (*updater, error) {
@@ -172,41 +305,105 @@ func (pt *PagedTree) beginUpdate() (*updater, error) {
 	if pt.updateErr != nil {
 		return nil, fmt.Errorf("storage: tree handle poisoned by earlier half-applied commit: %w", pt.updateErr)
 	}
-	meta := pt.meta
-	meta.Levels = append([]int(nil), pt.meta.Levels...)
-	meta.Free = append([]int(nil), pt.meta.Free...)
-	meta.TotalPages = pt.meta.PageSpan()
-	return &updater{pt: pt, meta: meta, nodes: make(map[int]*updateNode)}, nil
+	u := pt.upd
+	if u == nil {
+		u = &updater{pt: pt, nodes: make(map[int]*updateNode)}
+		u.copyFn = u.copyFrame
+		pt.upd = u
+	}
+	u.meta = pt.meta
+	u.meta.Levels = append([]int(nil), pt.meta.Levels...)
+	u.meta.Free = append([]int(nil), pt.meta.Free...)
+	u.meta.TotalPages = pt.meta.PageSpan()
+	return u, nil
 }
 
-// node returns the staged copy of page, decoding it on first touch.
+// release ends the operation: staged nodes go back to the spare list
+// (up to maxSpareNodes) and the staging map empties. Scratch that one
+// large operation grew is dropped rather than kept.
+func (u *updater) release() {
+	for _, n := range u.order {
+		u.recycle(n)
+	}
+	clear(u.order)
+	clear(u.images)
+	u.order, u.images = trim(u.order), trim(u.images)
+	if len(u.nodes) > maxRetained {
+		u.nodes = make(map[int]*updateNode)
+	} else {
+		clear(u.nodes)
+	}
+}
+
+// recycle keeps n for a later operation, unless maxSpareNodes are kept.
+func (u *updater) recycle(n *updateNode) {
+	if len(u.spare) < maxSpareNodes {
+		u.spare = append(u.spare, n)
+	}
+}
+
+// take returns an unregistered node for page, reusing a spare one.
+func (u *updater) take(page int) *updateNode {
+	var n *updateNode
+	if k := len(u.spare); k > 0 {
+		n = u.spare[k-1]
+		u.spare[k-1] = nil
+		u.spare = u.spare[:k-1]
+	} else {
+		n = &updateNode{buf: make([]byte, u.pt.dm.PageSize()+entrySize)}
+	}
+	n.page, n.dirty, n.freed = page, false, false
+	return n
+}
+
+// register stages n under its page.
+func (u *updater) register(n *updateNode) {
+	u.nodes[n.page] = n
+	u.order = append(u.order, n)
+}
+
+// node returns the staged copy of page, copying its frame on first
+// touch: one pool request per page per operation.
 func (u *updater) node(page int) (*updateNode, error) {
 	if n, ok := u.nodes[page]; ok {
 		return n, nil
 	}
 	// The pool's source checked the page when it was faulted in (and
-	// frames the updater Put were encoded here), so staging copies the
+	// frames the updater Put were sealed here), so staging copies the
 	// frame out without checking it again.
-	var nd rtree.NodeData
-	if _, err := u.pt.pool.View(page, func(frame []byte) error {
-		nd = viewNode(frame).decode(page)
-		return nil
-	}); err != nil {
+	n := u.take(page)
+	u.staging = n
+	_, err := u.pt.pool.View(page, u.copyFn)
+	u.staging = nil
+	if err != nil {
+		u.recycle(n)
 		return nil, err
 	}
-	n := &updateNode{NodeData: nd}
-	u.nodes[page] = n
+	u.register(n)
 	return n, nil
 }
 
-// newNode stages a fresh node on page, replacing any earlier staging
+func (u *updater) copyFrame(frame []byte) error {
+	copy(u.staging.buf, frame)
+	return nil
+}
+
+// newNode stages an empty node on page, replacing any earlier staging
 // (reusing a page freed in this same batch is legal).
 func (u *updater) newNode(page, level int, leaf bool) *updateNode {
-	n := &updateNode{
-		NodeData: rtree.NodeData{Page: page, Level: level, Leaf: leaf},
-		dirty:    true,
+	n, ok := u.nodes[page]
+	if ok {
+		n.freed = false
+	} else {
+		n = u.take(page)
+		u.register(n)
 	}
-	u.nodes[page] = n
+	clear(n.buf)
+	if leaf {
+		n.buf[0] = flagLeaf
+	}
+	n.setLevel(level)
+	n.dirty = true
 	return n
 }
 
@@ -227,15 +424,7 @@ func (u *updater) allocPage() int {
 func (u *updater) freePage(n *updateNode) {
 	n.freed = true
 	n.dirty = false
-	u.meta.Free = append(u.meta.Free, n.Page)
-}
-
-func mbr(rects []geom.Rect) geom.Rect {
-	out := rects[0]
-	for _, r := range rects[1:] {
-		out = out.Union(r)
-	}
-	return out
+	u.meta.Free = append(u.meta.Free, n.page)
 }
 
 // insertEntry descends from the root to targetDepth choosing the child
@@ -243,15 +432,16 @@ func mbr(rects []geom.Rect) geom.Rect {
 // (an item when isItem, else a subtree pointer), and resolves overflows
 // by splitting upward — Guttman's Insert generalized to any level so
 // condense can reinsert orphaned subtrees with it.
-func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bool, targetDepth int) error {
-	path := []int{0}
+func (u *updater) insertEntry(rect geom.Rect, payload uint64, isItem bool, targetDepth int) error {
+	u.descent = append(u.descent[:0], 0)
 	for depth := 0; depth < targetDepth; depth++ {
-		n, err := u.node(path[depth])
+		n, err := u.node(u.descent[depth])
 		if err != nil {
 			return err
 		}
 		best, bestEnl, bestArea := -1, 0.0, 0.0
-		for i, r := range n.Rects {
+		for i := range n.count() {
+			r := n.rect(i)
 			area := r.Area()
 			enl := r.Union(rect).Area() - area
 			if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
@@ -259,39 +449,38 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 			}
 		}
 		if best < 0 {
-			return fmt.Errorf("storage: internal page %d has no children", n.Page)
+			return fmt.Errorf("storage: internal page %d has no children", n.page)
 		}
 		// Grow the covering rectangle on the way down (AdjustTree's
 		// upward pass, folded into the descent: union with an exact MBR
 		// stays exact).
-		if grown := n.Rects[best].Union(rect); !grown.Equal(n.Rects[best]) {
-			n.Rects[best] = grown
+		old := n.rect(best)
+		if grown := old.Union(rect); !grown.Equal(old) {
+			n.setRect(best, grown)
 			n.dirty = true
 		}
-		path = append(path, n.Children[best])
+		u.descent = append(u.descent, n.child(best))
 	}
+	path := u.descent
 
 	target, err := u.node(path[targetDepth])
 	if err != nil {
 		return err
 	}
-	target.Rects = append(target.Rects, rect)
-	if isItem {
-		target.IDs = append(target.IDs, id)
-	} else {
-		target.Children = append(target.Children, childPage)
-		if err := u.restampSubtree(childPage, targetDepth+1); err != nil {
+	target.appendEntry(rect, payload)
+	target.dirty = true
+	if !isItem {
+		if err := u.restampSubtree(int(payload), targetDepth+1); err != nil {
 			return err
 		}
 	}
-	target.dirty = true
 
 	for d := targetDepth; d >= 0; d-- {
 		n, err := u.node(path[d])
 		if err != nil {
 			return err
 		}
-		if len(n.Rects) <= u.meta.MaxEntries {
+		if n.count() <= u.meta.MaxEntries {
 			break
 		}
 		if d == 0 {
@@ -306,23 +495,24 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 	return nil
 }
 
-// takeIndices builds the entry set of one split half.
-func takeIndices(n *updateNode, idx []int) (rects []geom.Rect, children []int, ids []int64) {
-	rects = make([]geom.Rect, len(idx))
-	if n.Leaf {
-		ids = make([]int64, len(idx))
-	} else {
-		children = make([]int, len(idx))
+// split divides n's entries between left and right as the tree's split
+// algorithm groups them, moving whole entries in group order. left may
+// be n itself: n's entries are copied aside first.
+func (u *updater) split(n, left, right *updateNode) {
+	u.rects = u.rects[:0]
+	ents := n.entries()
+	for rest := ents; len(rest) >= entrySize; rest = rest[entrySize:] {
+		u.rects = append(u.rects, (*entry)(rest).rect())
 	}
-	for i, j := range idx {
-		rects[i] = n.Rects[j]
-		if n.Leaf {
-			ids[i] = n.IDs[j]
-		} else {
-			children[i] = n.Children[j]
-		}
+	li, ri := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, u.rects)
+	u.spill = append(u.spill[:0], ents...)
+	left.setCount(0)
+	for _, j := range li {
+		left.appendRaw(u.spill[j*entrySize:])
 	}
-	return rects, children, ids
+	for _, j := range ri {
+		right.appendRaw(u.spill[j*entrySize:])
+	}
 }
 
 // splitChild splits an overflowing non-root node in place: the left
@@ -330,25 +520,15 @@ func takeIndices(n *updateNode, idx []int) (rects []geom.Rect, children []int, i
 // swaps its single covering entry for two exact ones (which may overflow
 // the parent — the caller's loop continues upward).
 func (u *updater) splitChild(n, parent *updateNode, depth int) {
-	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, n.Rects)
-	lr, lc, li := takeIndices(n, left)
-	rr, rc, ri := takeIndices(n, right)
-
-	sib := u.newNode(u.allocPage(), n.Level, n.Leaf)
-	sib.Rects, sib.Children, sib.IDs = rr, rc, ri
-
-	n.Rects, n.Children, n.IDs = lr, lc, li
+	sib := u.newNode(u.allocPage(), n.level(), n.leaf())
+	u.split(n, n, sib)
 	n.dirty = true
 	u.meta.Levels[depth]++
 
-	for i, c := range parent.Children {
-		if c == n.Page {
-			parent.Rects[i] = mbr(n.Rects)
-			break
-		}
+	if i := parent.indexOfChild(n.page); i >= 0 {
+		parent.setRect(i, n.mbr())
 	}
-	parent.Rects = append(parent.Rects, mbr(sib.Rects))
-	parent.Children = append(parent.Children, sib.Page)
+	parent.appendEntry(sib.mbr(), uint64(sib.page))
 	parent.dirty = true
 }
 
@@ -358,18 +538,13 @@ func (u *updater) splitChild(n, parent *updateNode, depth int) {
 // the O(n) price of the paper's 0-is-root level convention; root splits
 // are rare (one per ~MaxEntries^level inserts).
 func (u *updater) splitRoot(root *updateNode) error {
-	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, root.Rects)
-	lr, lc, li := takeIndices(root, left)
-	rr, rc, ri := takeIndices(root, right)
-
-	ln := u.newNode(u.allocPage(), 1, root.Leaf)
-	ln.Rects, ln.Children, ln.IDs = lr, lc, li
-	rn := u.newNode(u.allocPage(), 1, root.Leaf)
-	rn.Rects, rn.Children, rn.IDs = rr, rc, ri
+	ln := u.newNode(u.allocPage(), 1, root.leaf())
+	rn := u.newNode(u.allocPage(), 1, root.leaf())
+	u.split(root, ln, rn)
 
 	newRoot := u.newNode(0, 0, false)
-	newRoot.Rects = []geom.Rect{mbr(ln.Rects), mbr(rn.Rects)}
-	newRoot.Children = []int{ln.Page, rn.Page}
+	newRoot.appendEntry(ln.mbr(), uint64(ln.page))
+	newRoot.appendEntry(rn.mbr(), uint64(rn.page))
 
 	levels := make([]int, 0, len(u.meta.Levels)+1)
 	levels = append(levels, 1, 2)
@@ -394,15 +569,15 @@ func (u *updater) restampSubtree(page, depth int) error {
 	if err != nil {
 		return err
 	}
-	if n.Level != depth {
-		n.Level = depth
+	if n.level() != depth {
+		n.setLevel(depth)
 		n.dirty = true
 	}
-	if n.Leaf {
+	if n.leaf() {
 		return nil
 	}
-	for _, child := range n.Children {
-		if err := u.restampSubtree(child, depth+1); err != nil {
+	for i := range n.count() {
+		if err := u.restampSubtree(n.child(i), depth+1); err != nil {
 			return err
 		}
 	}
@@ -418,18 +593,16 @@ func (u *updater) findLeaf(page int, item rtree.Item, path *[]int) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	if n.Leaf {
-		for i, r := range n.Rects {
-			if n.IDs[i] == item.ID && r.Equal(item.Rect) {
-				return true, nil
-			}
+	if n.leaf() {
+		if n.indexOfItem(item) >= 0 {
+			return true, nil
 		}
 		*path = (*path)[:len(*path)-1]
 		return false, nil
 	}
-	for i, r := range n.Rects {
-		if r.ContainsRect(item.Rect) {
-			found, err := u.findLeaf(n.Children[i], item, path)
+	for i := range n.count() {
+		if n.rect(i).ContainsRect(item.Rect) {
+			found, err := u.findLeaf(n.child(i), item, path)
 			if err != nil || found {
 				return found, err
 			}
@@ -443,15 +616,7 @@ func (u *updater) findLeaf(page int, item rtree.Item, path *[]int) (bool, error)
 // nodes (their entries become orphans) and tightening surviving covering
 // rectangles, then reinserts orphans at their original height.
 func (u *updater) condense(path []int) error {
-	type orphan struct {
-		rect   geom.Rect
-		child  int // subtree page; item orphans use id instead
-		id     int64
-		isItem bool
-		height int // of the node the entry lived in (0 = leaf)
-	}
-	var orphans []orphan
-
+	u.orphans = u.orphans[:0]
 	for d := len(path) - 1; d >= 1; d-- {
 		n, err := u.node(path[d])
 		if err != nil {
@@ -461,35 +626,23 @@ func (u *updater) condense(path []int) error {
 		if err != nil {
 			return err
 		}
-		pi := -1
-		for i, c := range parent.Children {
-			if c == n.Page {
-				pi = i
-				break
-			}
-		}
+		pi := parent.indexOfChild(n.page)
 		if pi < 0 {
-			return fmt.Errorf("storage: page %d not a child of page %d", n.Page, parent.Page)
+			return fmt.Errorf("storage: page %d not a child of page %d", n.page, parent.page)
 		}
-		if len(n.Rects) < u.meta.MinEntries {
+		if c := n.count(); c < u.meta.MinEntries {
 			height := len(u.meta.Levels) - 1 - d
-			for i, r := range n.Rects {
-				o := orphan{rect: r, height: height}
-				if n.Leaf {
-					o.isItem, o.id = true, n.IDs[i]
-				} else {
-					o.child = n.Children[i]
-				}
-				orphans = append(orphans, o)
+			for ents := n.entries(); len(ents) >= entrySize; ents = ents[entrySize:] {
+				e := (*entry)(ents)
+				u.orphans = append(u.orphans, orphan{rect: e.rect(), payload: e.payload(), isItem: n.leaf(), height: height})
 			}
-			parent.Rects = append(parent.Rects[:pi], parent.Rects[pi+1:]...)
-			parent.Children = append(parent.Children[:pi], parent.Children[pi+1:]...)
+			parent.remove(pi)
 			parent.dirty = true
 			u.freePage(n)
 			u.meta.Levels[d]--
-		} else if len(n.Rects) > 0 {
-			if m := mbr(n.Rects); !m.Equal(parent.Rects[pi]) {
-				parent.Rects[pi] = m
+		} else if c > 0 {
+			if m := n.mbr(); !m.Equal(parent.rect(pi)) {
+				parent.setRect(pi, m)
 				parent.dirty = true
 			}
 		}
@@ -499,10 +652,10 @@ func (u *updater) condense(path []int) error {
 	// matching the in-memory Tree.condense. Heights are re-anchored to
 	// the current level count each time: a reinsertion can split the
 	// root and deepen the tree under our feet.
-	for i := len(orphans) - 1; i >= 0; i-- {
-		o := orphans[i]
+	for i := len(u.orphans) - 1; i >= 0; i-- {
+		o := u.orphans[i]
 		targetDepth := len(u.meta.Levels) - 1 - o.height
-		if err := u.insertEntry(o.rect, o.child, o.id, o.isItem, targetDepth); err != nil {
+		if err := u.insertEntry(o.rect, o.payload, o.isItem, targetDepth); err != nil {
 			return err
 		}
 	}
@@ -510,7 +663,7 @@ func (u *updater) condense(path []int) error {
 }
 
 // shrinkRoot collapses the root while it is an internal node with one
-// child: the child's contents move onto page 0, the tree loses a level,
+// child: the child's entries move onto page 0, the tree loses a level,
 // and stored levels are restamped.
 func (u *updater) shrinkRoot() error {
 	for {
@@ -518,17 +671,17 @@ func (u *updater) shrinkRoot() error {
 		if err != nil {
 			return err
 		}
-		if root.Leaf || len(root.Rects) != 1 {
+		if root.leaf() || root.count() != 1 {
 			return nil
 		}
-		child, err := u.node(root.Children[0])
+		child, err := u.node(root.child(0))
 		if err != nil {
 			return err
 		}
-		next := u.newNode(0, 0, child.Leaf)
-		next.Rects = append([]geom.Rect(nil), child.Rects...)
-		next.Children = append([]int(nil), child.Children...)
-		next.IDs = append([]int64(nil), child.IDs...)
+		next := u.newNode(0, 0, child.leaf())
+		for ents := child.entries(); len(ents) >= entrySize; ents = ents[entrySize:] {
+			next.appendRaw(ents)
+		}
 		u.freePage(child)
 		u.meta.Levels = u.meta.Levels[1:]
 		u.meta.Levels[0] = 1
@@ -564,21 +717,24 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 		u.meta.Free = u.meta.Free[:max]
 	}
 
-	var images []PageImage
-	for page, n := range u.nodes {
+	// Staged pages are visited in touch order, not map order, so the
+	// batch is a function of the operation alone.
+	images := u.images[:0]
+	for _, n := range u.order {
 		if !n.dirty || n.freed {
 			continue
 		}
-		data, err := EncodeNode(n.NodeData, pt.dm.PageSize())
+		img, err := n.seal(pt.dm.PageSize())
 		if err != nil {
 			return err
 		}
-		images = append(images, PageImage{Page: page, Data: data})
+		images = append(images, PageImage{Page: n.page, Data: img})
 	}
+	u.images = images
 	if len(images) == 0 {
 		return nil
 	}
-	sort.Slice(images, func(i, j int) bool { return images[i].Page < images[j].Page })
+	slices.SortFunc(images, func(a, b PageImage) int { return cmp.Compare(a.Page, b.Page) })
 
 	metaBytes := encodeMetaV2(u.meta)
 	batch, err := pt.wal.AppendBatch(images, metaBytes)

@@ -92,6 +92,8 @@ type WAL struct {
 
 	batchesSinceCheckpoint int
 	metrics                *Metrics
+
+	record []byte // AppendBatch's record block, reused across batches
 }
 
 // CreateWAL initializes an empty log on dev for pages of dataPageSize
@@ -343,7 +345,10 @@ func (w *WAL) AppendBatch(pages []PageImage, treeMeta []byte) (batchID uint64, e
 	}
 	startSeq, startBlock := w.nextSeq, w.writeBlock
 	batchID = w.nextBatch
-	buf := make([]byte, w.dev.PageSize())
+	if w.record == nil {
+		w.record = make([]byte, w.dev.PageSize())
+	}
+	buf := w.record
 	for _, img := range pages {
 		if len(img.Data) != w.dataPageSize {
 			w.nextSeq, w.writeBlock = startSeq, startBlock
